@@ -10,10 +10,8 @@
 //! Captures are pure functions of the [`ExpConfig`]: same seed and
 //! shape ⇒ byte-identical JSON (the `rrq-explain diff` smoke in
 //! `check.sh` gates exactly that). With `par_query > 1` the parallel
-//! engine is captured alongside the sequential one; deterministic
-//! (local) and epoch bound modes reproduce byte-identically too, while
-//! shared-atomic mode's bound timeline is scheduling-dependent (its
-//! header and results still diff clean structurally).
+//! engine is captured alongside the sequential one; its deterministic
+//! (local) and epoch bound modes reproduce byte-identically too.
 
 use crate::ExpConfig;
 use rrq_core::{BoundMode, Gir, GirConfig, ParConfig};
@@ -92,8 +90,6 @@ pub fn capture(cfg: &ExpConfig) -> Result<Vec<Captured>, String> {
     if cfg.par_query > 1 {
         let mode = if cfg.par_epoch > 0 {
             BoundMode::Epoch(cfg.par_epoch)
-        } else if cfg.par_shared {
-            BoundMode::Shared
         } else {
             BoundMode::Local
         };

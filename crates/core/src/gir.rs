@@ -32,9 +32,10 @@ use rrq_obs::{
 };
 use rrq_types::{
     dot_counted, KBestHeap, PointId, PointSet, QueryStats, RkrQuery, RkrResult, RtkQuery,
-    RtkResult, WeightSet,
+    RtkResult, WeightId, WeightSet,
 };
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the GIR algorithm.
@@ -396,7 +397,7 @@ impl<'a, G: GridTable> Gir<'a, G> {
     pub(crate) fn weight_data(&self, wid: usize) -> &[f64] {
         let base = self.weights.len();
         if wid < base {
-            self.weights.weight(rrq_types::WeightId(wid))
+            self.weights.weight(WeightId(wid))
         } else {
             self.delta
                 // rrq-lint: allow(no-unwrap-in-lib) -- an appended id can only come from total_weights(), which counts the delta
@@ -905,18 +906,45 @@ impl DominBuffer {
     }
 }
 
+/// Working state of one weight-range scan: the `Domin` bitset plus the
+/// row-decode buffers. One per sequential query, one per parallel shard.
+pub(crate) struct ScanBuffers {
+    domin: DominBuffer,
+    scratch: Scratch,
+    w_scratch: Vec<u8>,
+}
+
+impl ScanBuffers {
+    pub(crate) fn new<G: GridTable>(gir: &Gir<'_, G>) -> Self {
+        let dim = gir.points.dim();
+        Self {
+            domin: DominBuffer::new(gir.total_points()),
+            scratch: Scratch::new(dim),
+            w_scratch: vec![0u8; dim],
+        }
+    }
+
+    /// Dominators found so far.
+    pub(crate) fn dominators(&self) -> usize {
+        self.domin.len()
+    }
+}
+
 impl<G: GridTable> Gir<'_, G> {
-    /// GIRTop-k (Alg. 2), generic over the recorder: the untraced entry
-    /// point instantiates this with [`NoopRecorder`] (all instrumentation
-    /// folds away), the traced one with a live recorder. The phase tree
-    /// is `rtk → {quantize, scan → refine}`.
-    pub(crate) fn rtk_impl<R: Recorder + ?Sized, S: ExplainSink>(
+    /// GIRTop-k (Alg. 2) around a weight-scan strategy: validates the
+    /// query, opens the `rtk → {quantize, scan}` phase tree, quantises
+    /// `q` and hands the cells to `scan`, which returns the members it
+    /// found and whether `k` dominators saturated it (the result is then
+    /// globally empty). The sequential engine scans all of `W` in one
+    /// call to [`Self::rtk_scan`]; `ParGir` scans shards on a pool.
+    pub(crate) fn rtk_query<R: Recorder + ?Sized, S: ExplainSink>(
         &self,
         q: &[f64],
         k: usize,
         stats: &mut QueryStats,
         rec: &R,
         sink: &mut S,
+        scan: impl FnOnce(&[u8], &mut QueryStats, &mut S) -> (Vec<WeightId>, bool),
     ) -> RtkResult {
         assert_eq!(q.len(), self.points.dim(), "query dimensionality");
         if k == 0 {
@@ -926,15 +954,117 @@ impl<G: GridTable> Gir<'_, G> {
             sink.begin_query(ExplainKind::Rtk, q, k as u64, self.grid.partitions() as u64);
         }
         let _query = span(rec, "rtk");
-        let mut domin = DominBuffer::new(self.total_points());
-        let mut scratch = Scratch::new(self.points.dim());
-        let mut w_scratch = vec![0u8; self.points.dim()];
         let qa = timed_leaf(rec, "quantize", || {
             ApproxVectors::quantize_point(&self.grid, q)
         });
-        let _scan = span(rec, "scan");
-        let mut out = Vec::new();
-        for wid in 0..self.total_weights() {
+        let (members, saturated) = scan(&qa, stats, sink);
+        if saturated {
+            // Drop result events recorded before the proof landed so the
+            // document matches what is returned.
+            sink.invalidate_results();
+            return RtkResult::default();
+        }
+        RtkResult::from_weights(members)
+    }
+
+    /// GIRk-Rank (Alg. 3) around a weight-scan strategy (see
+    /// [`Self::rtk_query`]): `scan` returns the k-best heap of its
+    /// weights. The phase tree is `rkr → {quantize, scan}`.
+    pub(crate) fn rkr_query<R: Recorder + ?Sized, S: ExplainSink>(
+        &self,
+        q: &[f64],
+        k: usize,
+        stats: &mut QueryStats,
+        rec: &R,
+        sink: &mut S,
+        scan: impl FnOnce(&[u8], &mut QueryStats, &mut S) -> KBestHeap,
+    ) -> RkrResult {
+        assert_eq!(q.len(), self.points.dim(), "query dimensionality");
+        if sink.enabled() {
+            sink.begin_query(ExplainKind::Rkr, q, k as u64, self.grid.partitions() as u64);
+        }
+        let _query = span(rec, "rkr");
+        let qa = timed_leaf(rec, "quantize", || {
+            ApproxVectors::quantize_point(&self.grid, q)
+        });
+        let result = scan(&qa, stats, sink).into_result();
+        if sink.enabled() {
+            for e in result.entries() {
+                sink.result(e.weight.0 as u64, e.rank as u64);
+            }
+        }
+        result
+    }
+
+    /// The sequential GIRTop-k: one scan over every weight.
+    pub(crate) fn rtk_impl<R: Recorder + ?Sized, S: ExplainSink>(
+        &self,
+        q: &[f64],
+        k: usize,
+        stats: &mut QueryStats,
+        rec: &R,
+        sink: &mut S,
+    ) -> RtkResult {
+        self.rtk_query(q, k, stats, rec, sink, |qa, stats, sink| {
+            let _scan = span(rec, "scan");
+            let mut members = Vec::new();
+            let all = 0..self.total_weights();
+            let mut buf = ScanBuffers::new(self);
+            let saturated = self.rtk_scan(q, qa, k, all, &mut buf, &mut members, stats, rec, sink);
+            (members, saturated)
+        })
+    }
+
+    /// The sequential GIRk-Rank: one scan over every weight, bounded only
+    /// by its own heap.
+    pub(crate) fn rkr_impl<R: Recorder + ?Sized, S: ExplainSink>(
+        &self,
+        q: &[f64],
+        k: usize,
+        stats: &mut QueryStats,
+        rec: &R,
+        sink: &mut S,
+    ) -> RkrResult {
+        self.rkr_query(q, k, stats, rec, sink, |qa, stats, sink| {
+            let _scan = span(rec, "scan");
+            let mut heap = KBestHeap::new(k);
+            let all = 0..self.total_weights();
+            let mut buf = ScanBuffers::new(self);
+            self.rkr_scan(
+                q,
+                qa,
+                all,
+                usize::MAX,
+                &mut buf,
+                &mut heap,
+                stats,
+                rec,
+                sink,
+            );
+            heap
+        })
+    }
+
+    /// The per-weight loop of GIRTop-k (Alg. 2) over the weight ids
+    /// `wids`: admit → `f_w(q)` → threshold decision → GInTop-k, pushing
+    /// members onto `members`. Returns `true` as soon as `k` dominators
+    /// saturate the scan (Alg. 2 lines 7–8). `Domin` membership depends
+    /// only on `(p, q)`, so a saturated shard proves the *global* result
+    /// empty.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn rtk_scan<R: Recorder + ?Sized, S: ExplainSink>(
+        &self,
+        q: &[f64],
+        qa: &[u8],
+        k: usize,
+        wids: Range<usize>,
+        buf: &mut ScanBuffers,
+        members: &mut Vec<WeightId>,
+        stats: &mut QueryStats,
+        rec: &R,
+        sink: &mut S,
+    ) -> bool {
+        for wid in wids {
             if !self.admit_weight(wid, stats, sink) {
                 continue;
             }
@@ -943,7 +1073,7 @@ impl<G: GridTable> Gir<'_, G> {
                 sink.weight(wid as u64);
             }
             let w = self.weight_data(wid);
-            let wa = self.w_row(wid, &mut w_scratch);
+            let wa = self.w_row(wid, &mut buf.w_scratch);
             let fq = dot_counted(w, q, stats);
             if let Some(ti) = &self.threshold {
                 // One comparison against the materialized k-th score
@@ -956,7 +1086,7 @@ impl<G: GridTable> Gir<'_, G> {
                             sink.threshold_hit(wid as u64, true);
                             sink.result(wid as u64, RANK_CERTIFIED);
                         }
-                        out.push(rrq_types::WeightId(wid));
+                        members.push(WeightId(wid));
                         continue;
                     }
                     RtkThresholdOutcome::NonMember => {
@@ -972,11 +1102,11 @@ impl<G: GridTable> Gir<'_, G> {
             if let Some(rank) = self.gin_rank(
                 wa,
                 w,
-                &qa,
+                qa,
                 fq,
                 k - 1,
-                &mut domin,
-                &mut scratch,
+                &mut buf.domin,
+                &mut buf.scratch,
                 stats,
                 rec,
                 sink,
@@ -985,45 +1115,39 @@ impl<G: GridTable> Gir<'_, G> {
                 if sink.enabled() {
                     sink.result(wid as u64, rank as u64);
                 }
-                out.push(rrq_types::WeightId(wid));
+                members.push(WeightId(wid));
             }
-            // Alg. 2 lines 7–8: with k dominators no weight can qualify.
-            if domin.len() >= k {
+            if buf.domin.len() >= k {
                 if sink.enabled() {
-                    sink.invalidate_results();
-                    sink.bound_event(BoundSource::LocalScan, wid as u64, domin.len() as u64, true);
+                    let found = buf.domin.len() as u64;
+                    sink.bound_event(BoundSource::LocalScan, wid as u64, found, true);
                 }
-                return RtkResult::default();
+                return true;
             }
         }
-        RtkResult::from_weights(out)
+        false
     }
 
-    /// GIRk-Rank (Alg. 3), generic over the recorder (see
-    /// [`Self::rtk_impl`]). The phase tree is
-    /// `rkr → {quantize, scan → {refine, heap}}`.
-    pub(crate) fn rkr_impl<R: Recorder + ?Sized, S: ExplainSink>(
+    /// The per-weight loop of GIRk-Rank (Alg. 3) over the weight ids
+    /// `wids`, offering exact ranks to `heap`. Each weight is scanned
+    /// under the heap's own threshold (`minRank`), tightened by `frozen`
+    /// — a cross-shard bound fixed for the whole call (`usize::MAX` =
+    /// none). Every shard's heap threshold is at least the global k-th
+    /// rank, so their minimum never skips a global top-k entry.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn rkr_scan<R: Recorder + ?Sized, S: ExplainSink>(
         &self,
         q: &[f64],
-        k: usize,
+        qa: &[u8],
+        wids: Range<usize>,
+        frozen: usize,
+        buf: &mut ScanBuffers,
+        heap: &mut KBestHeap,
         stats: &mut QueryStats,
         rec: &R,
         sink: &mut S,
-    ) -> RkrResult {
-        assert_eq!(q.len(), self.points.dim(), "query dimensionality");
-        if sink.enabled() {
-            sink.begin_query(ExplainKind::Rkr, q, k as u64, self.grid.partitions() as u64);
-        }
-        let _query = span(rec, "rkr");
-        let mut domin = DominBuffer::new(self.total_points());
-        let mut scratch = Scratch::new(self.points.dim());
-        let mut w_scratch = vec![0u8; self.points.dim()];
-        let qa = timed_leaf(rec, "quantize", || {
-            ApproxVectors::quantize_point(&self.grid, q)
-        });
-        let _scan = span(rec, "scan");
-        let mut heap = KBestHeap::new(k);
-        for wid in 0..self.total_weights() {
+    ) {
+        for wid in wids {
             if !self.admit_weight(wid, stats, sink) {
                 continue;
             }
@@ -1032,9 +1156,9 @@ impl<G: GridTable> Gir<'_, G> {
                 sink.weight(wid as u64);
             }
             let w = self.weight_data(wid);
-            let wa = self.w_row(wid, &mut w_scratch);
+            let wa = self.w_row(wid, &mut buf.w_scratch);
             let fq = dot_counted(w, q, stats);
-            let bound = heap.threshold();
+            let bound = heap.threshold().min(frozen);
             if let Some(ti) = &self.threshold {
                 // `rank > bound` certified from the materialized scores
                 // means the bounded scan would return `None`: skip it.
@@ -1051,16 +1175,16 @@ impl<G: GridTable> Gir<'_, G> {
             if let Some(rank) = self.gin_rank(
                 wa,
                 w,
-                &qa,
+                qa,
                 fq,
                 bound,
-                &mut domin,
-                &mut scratch,
+                &mut buf.domin,
+                &mut buf.scratch,
                 stats,
                 rec,
                 sink,
             ) {
-                timed_leaf(rec, "heap", || heap.offer(rank, rrq_types::WeightId(wid)));
+                timed_leaf(rec, "heap", || heap.offer(rank, WeightId(wid)));
                 if sink.enabled() {
                     // Each `minRank` tightening (Alg. 3's self-refining
                     // bound) enters the timeline with its deciding weight.
@@ -1071,13 +1195,6 @@ impl<G: GridTable> Gir<'_, G> {
                 }
             }
         }
-        let result = heap.into_result();
-        if sink.enabled() {
-            for e in result.entries() {
-                sink.result(e.weight.0 as u64, e.rank as u64);
-            }
-        }
-        result
     }
 
     /// GIRTop-k with full pruning provenance: records the per-cell

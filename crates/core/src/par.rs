@@ -2,7 +2,7 @@
 //!
 //! [`ParGir`] answers a *single* reverse top-k / reverse k-ranks query
 //! with several workers, each scanning a contiguous shard of the weight
-//! set `W` with its own [`DominBuffer`], [`Scratch`] and [`QueryStats`].
+//! set `W` with its own `Domin` buffer, scratch rows and [`QueryStats`].
 //! Per-weight work is embarrassingly parallel — a weight's rank count
 //! depends only on `(w, q, P)` — so sharding `W` and merging shard
 //! outputs canonically reproduces the sequential answer **byte for
@@ -21,41 +21,30 @@
 //!   worker's scan bound (its local heap threshold) is always at least
 //!   the global k-th rank, hence never skips a global top-k entry.
 //!
-//! Three bound-sharing modes ([`BoundMode`]) trade bound sharpness
-//! against reproducibility:
+//! Every shard runs the sequential engine's own weight loops
+//! (`Gir::rtk_scan` / `Gir::rkr_scan`) in epoch rounds. The one knob
+//! is the epoch length ([`BoundMode`]): workers scan `N` weights of
+//! their shard under a *frozen* snapshot of the merged cross-shard
+//! bound, then exchange fresh bounds at a barrier-synchronised
+//! [`EpochSync`]. Because every worker reads the merged bound only after
+//! *all* workers published their epoch-`r` value (and before any
+//! publishes epoch `r+1` — two barriers per boundary), the bound each
+//! weight is scanned under is a pure function of `(data, query, shards,
+//! epoch)`: counters are exactly reproducible run-to-run and
+//! `rrq-benchdiff` gates them at its default zero counter tolerance.
+//! [`BoundMode::Local`] is one round with no exchange — worker-local
+//! bounds only.
 //!
-//! * [`BoundMode::Shared`] (default): RKR workers publish their
-//!   full-heap threshold into one shared atomic `minRank`
-//!   (`AtomicUsize::fetch_min`) and read it before each scan, tightening
-//!   early termination across shards; RTK workers broadcast dominator
-//!   saturation through an `AtomicBool`. Results stay exact, but
-//!   *counters* depend on cross-thread timing.
-//! * [`BoundMode::Local`] ([`ParConfig::deterministic`]): workers use
-//!   only locally derived bounds. At a fixed thread count every worker's
-//!   work — and therefore the merged [`QueryStats`] — is bit-identical
-//!   across runs, at the price of losing all cross-shard pruning.
-//! * [`BoundMode::Epoch`] ([`ParConfig::epoch`]): the epoch-snapshot
-//!   compromise. Workers scan with a *frozen* snapshot of the merged
-//!   cross-shard bound and exchange fresh bounds only at deterministic
-//!   epoch boundaries (every `N` weights of the shard), through a
-//!   barrier-synchronised [`EpochSync`]. Because every worker reads the
-//!   merged bound only after *all* workers published their epoch-`r`
-//!   value (and before any publishes epoch `r+1` — two barriers per
-//!   boundary), the bound each weight is scanned under is a pure
-//!   function of `(data, query, shards, epoch)`. Counters are exactly
-//!   reproducible run-to-run **and** most of the shared-mode pruning
-//!   survives — `rrq-benchdiff` can gate epoch-mode documents at its
-//!   default zero counter tolerance.
-//!
-//! Execution substrate: by default each query opens a fresh
-//! `std::thread::scope`. Attaching a persistent [`WorkerPool`] with
-//! [`ParGir::with_pool`] dispatches shard jobs to long-lived workers
-//! instead, amortising spawn/join across a query batch; pooled jobs own
-//! their per-query state (the pool outlives any single query), so they
-//! run under the [`NoopRecorder`] and the engine books `par.pool_reuse`
-//! / `par.epoch_syncs` on the caller's recorder. Shard decomposition,
-//! merge order and counters are identical on both substrates — the
-//! differential harness in `tests/par_equivalence.rs` pins that.
+//! Execution substrate: shard jobs always run on a [`WorkerPool`].
+//! [`ParGir::with_pool`] attaches a persistent pool, amortising
+//! spawn/join across a query batch; its jobs must outlive the query, so
+//! they own their per-query state and run under the [`NoopRecorder`]
+//! (the engine books `par.pool_reuse` / `par.epoch_syncs` on the
+//! caller's recorder). Without one, each query builds a one-query
+//! [`pool_scope`] whose jobs borrow the caller's recorder, so traced
+//! runs keep per-worker spans. Shard decomposition, merge order and
+//! counters are identical on both — the differential harness in
+//! `tests/par_equivalence.rs` pins that.
 //!
 //! Tracing: the untraced entry points run workers under the (trivially
 //! `Sync`) [`NoopRecorder`]. The traced ones ask the recorder for a
@@ -66,36 +55,36 @@
 //! is booked when a pool is attached but cannot host a parallel query
 //! (0/1 workers, or a 1-thread configuration).
 
-use crate::approx::ApproxVectors;
-use crate::gir::{DominBuffer, Gir, Scratch};
+use crate::gir::{Gir, ScanBuffers};
 use crate::grid::{Grid, GridTable};
-use crate::pool::WorkerPool;
-use crate::threshold::RtkThresholdOutcome;
+use crate::pool::{pool_scope, WorkerPool};
 use rrq_obs::{
-    span, timed_leaf, BoundSource, ExplainDoc, ExplainKind, ExplainSink, NoopRecorder, NoopSink,
-    Recorder, RANK_CERTIFIED,
+    span, BoundSource, ExplainDoc, ExplainSink, NoopRecorder, NoopSink, QueryKind, Recorder,
 };
-use rrq_types::{
-    dot_counted, KBestHeap, QueryStats, RkrQuery, RkrResult, RtkQuery, RtkResult, WeightId,
-};
+use rrq_types::{KBestHeap, QueryStats, RkrQuery, RkrResult, RtkQuery, RtkResult, WeightId};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread;
 
 /// How workers share scan bounds across shards. See the module docs for
-/// the full contract of each mode.
+/// the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundMode {
-    /// Live atomic bounds: sharpest pruning, timing-dependent counters.
-    Shared,
-    /// Worker-local bounds only: reproducible counters, no cross-shard
-    /// pruning.
+    /// Worker-local bounds only: one round per shard, no exchange.
     Local,
     /// Frozen cross-shard bound refreshed every `N` shard weights at
-    /// barrier-synchronised boundaries: reproducible counters *and*
-    /// cross-shard pruning. `N` is clamped to at least 1.
+    /// barrier-synchronised boundaries: cross-shard pruning with
+    /// reproducible counters. `N` is clamped to at least 1.
     Epoch(usize),
+}
+
+impl BoundMode {
+    /// Shard weights scanned between exchanges (`usize::MAX` = never).
+    fn epoch_len(self) -> usize {
+        match self {
+            BoundMode::Local => usize::MAX,
+            BoundMode::Epoch(every) => every.max(1),
+        }
+    }
 }
 
 /// Configuration of the parallel query engine.
@@ -108,26 +97,8 @@ pub struct ParConfig {
     pub mode: BoundMode,
 }
 
-impl Default for ParConfig {
-    /// All available cores, shared-bound mode.
-    fn default() -> Self {
-        Self {
-            threads: thread::available_parallelism().map_or(1, |n| n.get()),
-            mode: BoundMode::Shared,
-        }
-    }
-}
-
 impl ParConfig {
-    /// Shared-bound mode with an explicit thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            mode: BoundMode::Shared,
-        }
-    }
-
-    /// Local-bound (deterministic) mode with an explicit thread count.
+    /// Worker-local bounds with an explicit thread count.
     pub fn deterministic(threads: usize) -> Self {
         Self {
             threads,
@@ -136,8 +107,7 @@ impl ParConfig {
     }
 
     /// Epoch-snapshot mode: exchange merged bounds every `every` shard
-    /// weights (clamped to at least 1). Deterministic counters *with*
-    /// cross-shard pruning.
+    /// weights (clamped to at least 1), adding cross-shard pruning.
     pub fn epoch(threads: usize, every: usize) -> Self {
         Self {
             threads,
@@ -182,8 +152,7 @@ struct BarrierState {
 /// (Self::wait) panics out instead of deadlocking on the missing
 /// arrival. That panic unwinds through the worker like any shard panic:
 /// the pool's `catch_unwind` turns it into [`PoolError::JobPanicked`]
-/// (crate::pool::PoolError::JobPanicked), and the scoped substrate
-/// re-raises it on join.
+/// (crate::pool::PoolError::JobPanicked).
 struct PoisonBarrier {
     state: Mutex<BarrierState>,
     cv: Condvar,
@@ -325,7 +294,7 @@ impl EpochSync {
 /// The sub-range of `range` a worker scans in epoch `round`
 /// (saturating: `every` may be `usize::MAX`). Empty once the shard is
 /// exhausted — the worker then only participates in the barriers.
-fn epoch_chunk(range: &Range<usize>, round: usize, every: usize) -> (usize, usize) {
+fn epoch_chunk(range: &Range<usize>, round: usize, every: usize) -> Range<usize> {
     let lo = range
         .start
         .saturating_add(round.saturating_mul(every))
@@ -334,7 +303,7 @@ fn epoch_chunk(range: &Range<usize>, round: usize, every: usize) -> (usize, usiz
         .start
         .saturating_add(round.saturating_add(1).saturating_mul(every))
         .min(range.end);
-    (lo, hi)
+    lo..hi
 }
 
 /// Number of barrier-coupled scan rounds for the given shards: every
@@ -373,8 +342,8 @@ fn epoch_rounds(shards: &[Range<usize>], epoch: usize) -> usize {
 pub struct ParGir<'p, 'a, G: GridTable = Grid> {
     gir: &'a Gir<'a, G>,
     config: ParConfig,
-    /// Persistent execution substrate; `None` scopes fresh threads per
-    /// query. The pool's environment lifetime must equal `'a` (the
+    /// Persistent execution substrate; `None` builds a one-query pool
+    /// per query. The pool's environment lifetime must equal `'a` (the
     /// index borrow) because pooled jobs carry the index reference.
     pool: Option<&'p WorkerPool<'a>>,
 }
@@ -396,8 +365,8 @@ impl<'p, 'a, G: GridTable> ParGir<'p, 'a, G> {
         gir.parallel(config)
     }
 
-    /// Dispatches queries to `pool`'s persistent workers instead of
-    /// scoping fresh threads. The effective worker count becomes
+    /// Dispatches queries to `pool`'s persistent workers instead of a
+    /// one-query pool. The effective worker count becomes
     /// `min(config.threads, pool.workers())`; a pool with fewer than two
     /// workers routes queries through the sequential engine (booking
     /// `par.sequential_fallback` on traced runs).
@@ -429,17 +398,6 @@ impl<'p, 'a, G: GridTable> ParGir<'p, 'a, G> {
         self.gir
     }
 
-    /// Effective worker count for a weight set of `nw` entries: never
-    /// more workers than weights (or than the attached pool has), never
-    /// fewer than one.
-    fn effective_threads(&self, nw: usize) -> usize {
-        let mut threads = self.config.threads.max(1).min(nw.max(1));
-        if let Some(pool) = self.pool {
-            threads = threads.min(pool.workers());
-        }
-        threads
-    }
-
     /// Contiguous shard ranges covering `0..nw` — fixed by `(nw,
     /// threads)` alone, which is what makes local- and epoch-mode
     /// counters reproducible.
@@ -451,21 +409,18 @@ impl<'p, 'a, G: GridTable> ParGir<'p, 'a, G> {
     }
 }
 
-/// One worker's RTK shard outcome.
-struct RtkShard<S> {
+/// One shard job's outcome, merged by the caller in worker-index order.
+struct Shard<S> {
+    /// RTK: the member weights found.
     members: Vec<WeightId>,
-    stats: QueryStats,
-    /// Worker accumulated `k` dominators (or saw the broadcast): the
-    /// global result is empty.
+    /// RKR: the shard's k-best heap (RTK never offers to it).
+    heap: KBestHeap,
+    /// RTK: the shard saw `k` dominators (or the epoch snapshot reported
+    /// a peer that did), so the global result is empty.
     saturated: bool,
-    /// Per-shard explain sink, absorbed by the caller in worker-index
-    /// order ([`NoopSink`] on untraced paths).
+    stats: QueryStats,
     sink: S,
 }
-
-/// One worker's RKR shard outcome: the per-shard k-best heap, its
-/// query counters and its explain sink (absorbed in worker-index order).
-type RkrShard<S> = (KBestHeap, QueryStats, S);
 
 impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
     /// Parallel GIRTop-k over a `Sync` recorder (monomorphised to
@@ -478,64 +433,21 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
         rec: &R,
         sink: &mut S,
     ) -> RtkResult {
-        let gir = self.gir;
-        let nw = gir.total_weights();
-        let threads = self.effective_threads(nw);
-        if threads <= 1 {
-            if self.pool.is_some() {
-                rec.add_count("par.sequential_fallback", 1);
-            }
-            return gir.rtk_impl(q, k, stats, rec, sink);
-        }
-        assert_eq!(q.len(), gir.points_ref().dim(), "query dimensionality");
-        if k == 0 {
-            return RtkResult::default();
-        }
-        if sink.enabled() {
-            sink.begin_query(
-                ExplainKind::Rtk,
-                q,
-                k as u64,
-                gir.grid().partitions() as u64,
-            );
-        }
-        let _query = span(rec, "rtk");
-        let qa = timed_leaf(rec, "quantize", || {
-            ApproxVectors::quantize_point(gir.grid(), q)
-        });
-        let shards = Self::shards(nw, threads);
-        let mode = self.config.mode;
-        let (shard_results, epoch_syncs) = match self.pool {
-            Some(pool) => {
-                let reused = pool.stats().queries > 0;
-                let out = rtk_on_pool::<G, S>(pool, gir, q, &qa, k, shards, mode);
-                if reused {
-                    rec.add_count("par.pool_reuse", 1);
-                }
-                out
-            }
-            None => rtk_on_scope(gir, q, &qa, k, shards, mode, rec),
+        let Some(threads) = self.parallel_threads(rec) else {
+            return self.gir.rtk_impl(q, k, stats, rec, sink);
         };
-        if epoch_syncs > 0 {
-            rec.add_count("par.epoch_syncs", epoch_syncs);
-        }
-        // Merge in worker-index order: counters reproducible, result
-        // canonical.
-        let mut members = Vec::new();
-        let mut empty = false;
-        for shard in shard_results {
-            stats.merge(&shard.stats);
-            empty |= shard.saturated;
-            members.extend_from_slice(&shard.members);
-            sink.absorb(shard.sink);
-        }
-        if empty {
-            // Saturation empties the result globally; drop shard-recorded
-            // result events so the document matches what is returned.
-            sink.invalidate_results();
-            return RtkResult::default();
-        }
-        RtkResult::from_weights(members)
+        self.gir
+            .rtk_query(q, k, stats, rec, sink, |qa, stats, sink| {
+                let mut members = Vec::new();
+                let mut saturated = false;
+                for shard in self.dispatch(QueryKind::Rtk, q, qa, k, threads, rec) {
+                    stats.merge(&shard.stats);
+                    saturated |= shard.saturated;
+                    members.extend(shard.members);
+                    sink.absorb(shard.sink);
+                }
+                (members, saturated)
+            })
     }
 
     /// Parallel GIRk-Rank over a `Sync` recorder.
@@ -547,66 +459,75 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
         rec: &R,
         sink: &mut S,
     ) -> RkrResult {
-        let gir = self.gir;
-        let nw = gir.total_weights();
-        let threads = self.effective_threads(nw);
-        if threads <= 1 {
-            if self.pool.is_some() {
-                rec.add_count("par.sequential_fallback", 1);
-            }
-            return gir.rkr_impl(q, k, stats, rec, sink);
+        let Some(threads) = self.parallel_threads(rec) else {
+            return self.gir.rkr_impl(q, k, stats, rec, sink);
+        };
+        self.gir
+            .rkr_query(q, k, stats, rec, sink, |qa, stats, sink| {
+                let mut heap = KBestHeap::new(k);
+                for shard in self.dispatch(QueryKind::Rkr, q, qa, k, threads, rec) {
+                    stats.merge(&shard.stats);
+                    heap.merge(shard.heap);
+                    sink.absorb(shard.sink);
+                }
+                heap
+            })
+    }
+
+    /// The worker count of a parallel query — never more workers than
+    /// weights, or than the attached pool has — or `None` when it runs on
+    /// the sequential engine (booking `par.sequential_fallback` when an
+    /// attached pool could not host it).
+    fn parallel_threads<R: Recorder + ?Sized>(&self, rec: &R) -> Option<usize> {
+        let mut threads = self.config.threads.min(self.gir.total_weights());
+        if let Some(pool) = self.pool {
+            threads = threads.min(pool.workers());
         }
-        assert_eq!(q.len(), gir.points_ref().dim(), "query dimensionality");
-        if sink.enabled() {
-            sink.begin_query(
-                ExplainKind::Rkr,
-                q,
-                k as u64,
-                gir.grid().partitions() as u64,
-            );
+        if threads > 1 {
+            return Some(threads);
         }
-        let _query = span(rec, "rkr");
-        let qa = timed_leaf(rec, "quantize", || {
-            ApproxVectors::quantize_point(gir.grid(), q)
-        });
-        let shards = Self::shards(nw, threads);
-        let mode = self.config.mode;
-        let (shard_results, epoch_syncs) = match self.pool {
+        if self.pool.is_some() {
+            rec.add_count("par.sequential_fallback", 1);
+        }
+        None
+    }
+
+    /// Runs one shard job per worker — on the attached pool, or on a
+    /// one-query pool whose jobs may borrow `rec` — and returns the
+    /// shards in worker-index order.
+    fn dispatch<R: Recorder + Sync + ?Sized, S: ExplainSink + Default + Send + 'a>(
+        &self,
+        kind: QueryKind,
+        q: &[f64],
+        qa: &[u8],
+        k: usize,
+        threads: usize,
+        rec: &R,
+    ) -> Vec<Shard<S>> {
+        let shards = Self::shards(self.gir.total_weights(), threads);
+        let every = self.config.mode.epoch_len();
+        let (out, epoch_syncs) = match self.pool {
             Some(pool) => {
                 let reused = pool.stats().queries > 0;
-                let out = rkr_on_pool::<G, S>(pool, gir, q, &qa, k, shards, mode);
+                let out = run_shards(pool, self.gir, kind, q, qa, k, shards, every, &NoopRecorder);
                 if reused {
                     rec.add_count("par.pool_reuse", 1);
                 }
                 out
             }
-            None => rkr_on_scope(gir, q, &qa, k, shards, mode, rec),
+            None => pool_scope(threads, |pool| {
+                run_shards(pool, self.gir, kind, q, qa, k, shards, every, rec)
+            }),
         };
         if epoch_syncs > 0 {
             rec.add_count("par.epoch_syncs", epoch_syncs);
         }
-        let mut heap = KBestHeap::new(k);
-        for (shard_heap, shard_stats, shard_sink) in shard_results {
-            stats.merge(&shard_stats);
-            heap.merge(shard_heap);
-            sink.absorb(shard_sink);
-        }
-        let result = heap.into_result();
-        if sink.enabled() {
-            // Workers record no result events (only the merged heap knows
-            // the survivors); the canonical result set is recorded here.
-            for e in result.entries() {
-                sink.result(e.weight.0 as u64, e.rank as u64);
-            }
-        }
-        result
+        out
     }
 
     /// Parallel GIRTop-k with full pruning provenance (see
     /// [`Gir::reverse_top_k_explained`]). Shard sinks merge in
-    /// worker-index order, so local- and epoch-mode documents are
-    /// reproducible run to run; shared-atomic mode is honestly
-    /// scheduling-dependent and its documents may differ.
+    /// worker-index order, so documents are reproducible run to run.
     pub fn reverse_top_k_explained(
         &self,
         q: &[f64],
@@ -635,7 +556,6 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
         doc.set_engine("ParGir");
         doc.push_config("threads", &self.config.threads.to_string());
         let mode = match self.config.mode {
-            BoundMode::Shared => "shared".to_string(),
             BoundMode::Local => "local".to_string(),
             BoundMode::Epoch(every) => format!("epoch({every})"),
         };
@@ -646,363 +566,57 @@ impl<'a, G: GridTable + Sync> ParGir<'_, 'a, G> {
     }
 }
 
-/// Runs the RTK shard workers on fresh scoped threads.
-fn rtk_on_scope<
+/// Submits one epoch-worker job per shard to `pool` and collects the
+/// shards in submission order, plus the number of epoch exchanges.
+/// Jobs own copies of the query (a persistent pool outlives it).
+#[allow(clippy::too_many_arguments)]
+fn run_shards<'env, G, R, S>(
+    pool: &WorkerPool<'env>,
+    gir: &'env Gir<'_, G>,
+    kind: QueryKind,
+    q: &[f64],
+    qa: &[u8],
+    k: usize,
+    shards: Vec<Range<usize>>,
+    every: usize,
+    rec: &'env R,
+) -> (Vec<Shard<S>>, u64)
+where
     G: GridTable + Sync,
     R: Recorder + Sync + ?Sized,
-    S: ExplainSink + Default + Send,
->(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    shards: Vec<Range<usize>>,
-    mode: BoundMode,
-    rec: &R,
-) -> (Vec<RtkShard<S>>, u64) {
-    let flag = AtomicBool::new(false);
-    let sync = EpochSync::new(shards.len());
-    let rounds = match mode {
-        BoundMode::Epoch(every) => epoch_rounds(&shards, every),
-        _ => 0,
-    };
-    let out: Vec<RtkShard<S>> = thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(me, range)| {
-                let (flag, sync) = (&flag, &sync);
-                s.spawn(move || match mode {
-                    BoundMode::Shared => rtk_worker(gir, q, qa, k, range, Some(flag), rec),
-                    BoundMode::Local => rtk_worker(gir, q, qa, k, range, None, rec),
-                    BoundMode::Epoch(every) => {
-                        rtk_worker_epoch(gir, q, qa, k, range, me, sync, every, rounds, rec)
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // rrq-lint: allow(no-unwrap-in-lib) -- a panicked worker already poisoned the query; re-raise it
-            .map(|h| h.join().expect("parallel RTK worker panicked"))
-            .collect()
-    });
-    (out, sync.syncs())
-}
-
-/// Runs the RTK shard workers on a persistent pool. Jobs own their
-/// per-query state (the pool may outlive it) and run untraced — the
-/// caller books pool-level counters on its own recorder.
-fn rtk_on_pool<'env, G: GridTable + Sync, S: ExplainSink + Default + Send + 'env>(
-    pool: &WorkerPool<'env>,
-    gir: &'env Gir<'env, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    shards: Vec<Range<usize>>,
-    mode: BoundMode,
-) -> (Vec<RtkShard<S>>, u64) {
-    let workers = shards.len();
-    let rounds = match mode {
-        BoundMode::Epoch(every) => epoch_rounds(&shards, every),
-        _ => 0,
-    };
-    let flag = Arc::new(AtomicBool::new(false));
-    let sync = Arc::new(EpochSync::new(workers));
-    let jobs: Vec<Box<dyn FnOnce() -> RtkShard<S> + Send + 'env>> = shards
+    S: ExplainSink + Default + Send + 'env,
+{
+    let rounds = epoch_rounds(&shards, every);
+    let sync = Arc::new(EpochSync::new(shards.len()));
+    let jobs: Vec<Box<dyn FnOnce() -> Shard<S> + Send + 'env>> = shards
         .into_iter()
         .enumerate()
         .map(|(me, range)| {
-            let q = q.to_vec();
-            let qa = qa.to_vec();
-            let flag = Arc::clone(&flag);
-            let sync = Arc::clone(&sync);
-            let job: Box<dyn FnOnce() -> RtkShard<S> + Send + 'env> =
-                Box::new(move || match mode {
-                    BoundMode::Shared => {
-                        rtk_worker(gir, &q, &qa, k, range, Some(&flag), &NoopRecorder)
-                    }
-                    BoundMode::Local => rtk_worker(gir, &q, &qa, k, range, None, &NoopRecorder),
-                    BoundMode::Epoch(every) => rtk_worker_epoch(
-                        gir,
-                        &q,
-                        &qa,
-                        k,
-                        range,
-                        me,
-                        &sync,
-                        every,
-                        rounds,
-                        &NoopRecorder,
-                    ),
-                });
+            let (q, qa, sync) = (q.to_vec(), qa.to_vec(), Arc::clone(&sync));
+            let job: Box<dyn FnOnce() -> Shard<S> + Send + 'env> = Box::new(move || {
+                epoch_worker(gir, kind, &q, &qa, k, range, me, &sync, every, rounds, rec)
+            });
             job
         })
         .collect();
-    let out = match pool.run(jobs) {
-        Ok(shards) => shards,
-        Err(err) => panic!("parallel RTK query failed on the worker pool: {err}"),
-    };
-    (out, sync.syncs())
-}
-
-/// Runs the RKR shard workers on fresh scoped threads.
-fn rkr_on_scope<
-    G: GridTable + Sync,
-    R: Recorder + Sync + ?Sized,
-    S: ExplainSink + Default + Send,
->(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    shards: Vec<Range<usize>>,
-    mode: BoundMode,
-    rec: &R,
-) -> (Vec<RkrShard<S>>, u64) {
-    let min_rank = AtomicUsize::new(usize::MAX);
-    let sync = EpochSync::new(shards.len());
-    let rounds = match mode {
-        BoundMode::Epoch(every) => epoch_rounds(&shards, every),
-        _ => 0,
-    };
-    let out: Vec<(KBestHeap, QueryStats, S)> = thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(me, range)| {
-                let (min_rank, sync) = (&min_rank, &sync);
-                s.spawn(move || match mode {
-                    BoundMode::Shared => rkr_worker(gir, q, qa, k, range, Some(min_rank), rec),
-                    BoundMode::Local => rkr_worker(gir, q, qa, k, range, None, rec),
-                    BoundMode::Epoch(every) => {
-                        rkr_worker_epoch(gir, q, qa, k, range, me, sync, every, rounds, rec)
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // rrq-lint: allow(no-unwrap-in-lib) -- a panicked worker already poisoned the query; re-raise it
-            .map(|h| h.join().expect("parallel RKR worker panicked"))
-            .collect()
-    });
-    (out, sync.syncs())
-}
-
-/// Runs the RKR shard workers on a persistent pool (see
-/// [`rtk_on_pool`] for the ownership contract).
-fn rkr_on_pool<'env, G: GridTable + Sync, S: ExplainSink + Default + Send + 'env>(
-    pool: &WorkerPool<'env>,
-    gir: &'env Gir<'env, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    shards: Vec<Range<usize>>,
-    mode: BoundMode,
-) -> (Vec<RkrShard<S>>, u64) {
-    let workers = shards.len();
-    let rounds = match mode {
-        BoundMode::Epoch(every) => epoch_rounds(&shards, every),
-        _ => 0,
-    };
-    let min_rank = Arc::new(AtomicUsize::new(usize::MAX));
-    let sync = Arc::new(EpochSync::new(workers));
-    let jobs: Vec<Box<dyn FnOnce() -> RkrShard<S> + Send + 'env>> = shards
-        .into_iter()
-        .enumerate()
-        .map(|(me, range)| {
-            let q = q.to_vec();
-            let qa = qa.to_vec();
-            let min_rank = Arc::clone(&min_rank);
-            let sync = Arc::clone(&sync);
-            let job: Box<dyn FnOnce() -> RkrShard<S> + Send + 'env> =
-                Box::new(move || match mode {
-                    BoundMode::Shared => {
-                        rkr_worker(gir, &q, &qa, k, range, Some(&min_rank), &NoopRecorder)
-                    }
-                    BoundMode::Local => rkr_worker(gir, &q, &qa, k, range, None, &NoopRecorder),
-                    BoundMode::Epoch(every) => rkr_worker_epoch(
-                        gir,
-                        &q,
-                        &qa,
-                        k,
-                        range,
-                        me,
-                        &sync,
-                        every,
-                        rounds,
-                        &NoopRecorder,
-                    ),
-                });
-            job
-        })
-        .collect();
-    let out = match pool.run(jobs) {
-        Ok(shards) => shards,
-        Err(err) => panic!("parallel RKR query failed on the worker pool: {err}"),
-    };
-    (out, sync.syncs())
-}
-
-/// Per-worker mutable state of an RTK scan.
-struct RtkState<S> {
-    domin: DominBuffer,
-    scratch: Scratch,
-    w_scratch: Vec<u8>,
-    stats: QueryStats,
-    members: Vec<WeightId>,
-    sink: S,
-}
-
-impl<S: ExplainSink + Default> RtkState<S> {
-    fn new<G: GridTable>(gir: &Gir<'_, G>) -> Self {
-        let dim = gir.points_ref().dim();
-        Self {
-            domin: DominBuffer::new(gir.total_points()),
-            scratch: Scratch::new(dim),
-            w_scratch: vec![0u8; dim],
-            stats: QueryStats::default(),
-            members: Vec::new(),
-            sink: S::default(),
-        }
+    match pool.run(jobs) {
+        Ok(out) => (out, sync.syncs()),
+        Err(err) => panic!("parallel query failed on the worker pool: {err}"),
     }
 }
 
-/// Scans `wids` for RTK membership (Alg. 2 body). Returns `true` when
-/// the scan saturated — locally (`k` dominators) or through the
-/// shared-mode broadcast `flag`.
+/// One shard's scan: `rounds` epoch rounds of `every` weights, each
+/// under the frozen snapshot of the previous boundary's merged bound.
+/// Every worker runs the same round count (idling once its shard is
+/// exhausted or saturated), so the barriers always pair up; a snapshot
+/// reporting RTK saturation stops all workers at the same round, which
+/// keeps counters deterministic. The merged minimum of the published
+/// RKR heap thresholds is a sound global bound, since every local
+/// threshold is at least the global k-th rank.
 #[allow(clippy::too_many_arguments)]
-fn rtk_scan_chunk<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink>(
+fn epoch_worker<G, R, S>(
     gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    wids: Range<usize>,
-    flag: Option<&AtomicBool>,
-    state: &mut RtkState<S>,
-    rec: &R,
-) -> bool {
-    for wid in wids {
-        if let Some(f) = flag {
-            // ORDERING: relaxed — the saturation flag is an optimisation
-            // hint; a stale read only means scanning a few extra weights.
-            if f.load(Ordering::Relaxed) {
-                // Another shard proved the global result empty.
-                if state.sink.enabled() {
-                    state
-                        .sink
-                        .bound_event(BoundSource::SharedAtomic, wid as u64, k as u64, true);
-                }
-                return true;
-            }
-        }
-        if !gir.admit_weight(wid, &mut state.stats, &mut state.sink) {
-            continue;
-        }
-        state.stats.weights_visited += 1;
-        if state.sink.enabled() {
-            state.sink.weight(wid as u64);
-        }
-        let w = gir.weight_data(wid);
-        let wa = gir.w_approx_row(wid, &mut state.w_scratch);
-        let fq = dot_counted(w, q, &mut state.stats);
-        if let Some(ti) = gir.threshold_index() {
-            // Same short-circuit as the sequential scan: membership
-            // decided by one comparison against the materialized k-th
-            // score; only straddling candidates fall into gin_rank.
-            match ti.decide_rtk(wid, k, fq) {
-                RtkThresholdOutcome::Member => {
-                    state.stats.threshold_hits += 1;
-                    if state.sink.enabled() {
-                        state.sink.threshold_hit(wid as u64, true);
-                        state.sink.result(wid as u64, RANK_CERTIFIED);
-                    }
-                    state.members.push(WeightId(wid));
-                    continue;
-                }
-                RtkThresholdOutcome::NonMember => {
-                    state.stats.threshold_hits += 1;
-                    if state.sink.enabled() {
-                        state.sink.threshold_hit(wid as u64, false);
-                    }
-                    continue;
-                }
-                RtkThresholdOutcome::Straddle => {}
-            }
-        }
-        if let Some(rank) = gir.gin_rank(
-            wa,
-            w,
-            qa,
-            fq,
-            k - 1,
-            &mut state.domin,
-            &mut state.scratch,
-            &mut state.stats,
-            rec,
-            &mut state.sink,
-        ) {
-            debug_assert!(rank < k);
-            if state.sink.enabled() {
-                state.sink.result(wid as u64, rank as u64);
-            }
-            state.members.push(WeightId(wid));
-        }
-        // Alg. 2 lines 7–8, shard-locally: `Domin` membership depends
-        // only on `(p, q)`, so `k` dominators empty the global result.
-        if state.domin.len() >= k {
-            if state.sink.enabled() {
-                state.sink.bound_event(
-                    BoundSource::LocalScan,
-                    wid as u64,
-                    state.domin.len() as u64,
-                    true,
-                );
-            }
-            if let Some(f) = flag {
-                // ORDERING: relaxed — broadcast of a sticky hint; readers
-                // tolerate missing it (see the load above).
-                f.store(true, Ordering::Relaxed);
-            }
-            return true;
-        }
-    }
-    false
-}
-
-/// Scans one contiguous shard of `W` for RTK membership. `flag` is the
-/// cross-shard saturation broadcast of shared-bound mode; local mode
-/// passes `None`.
-fn rtk_worker<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink + Default>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    range: Range<usize>,
-    flag: Option<&AtomicBool>,
-    rec: &R,
-) -> RtkShard<S> {
-    let _scan = span(rec, "scan");
-    let mut state = RtkState::<S>::new(gir);
-    let saturated = rtk_scan_chunk(gir, q, qa, k, range, flag, &mut state, rec);
-    RtkShard {
-        members: state.members,
-        stats: state.stats,
-        saturated,
-        sink: state.sink,
-    }
-}
-
-/// Epoch-snapshot RTK shard worker: scan `every` weights, then exchange
-/// saturation through the barrier-coupled `sync`. Every worker runs the
-/// same `rounds` count (idling once its shard is exhausted or
-/// saturated), so the barriers always pair up; when a boundary snapshot
-/// reports saturation, *all* workers observe it at the same round and
-/// stop uniformly — which is what keeps counters deterministic.
-#[allow(clippy::too_many_arguments)]
-fn rtk_worker_epoch<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink + Default>(
-    gir: &Gir<'_, G>,
+    kind: QueryKind,
     q: &[f64],
     qa: &[u8],
     k: usize,
@@ -1012,224 +626,87 @@ fn rtk_worker_epoch<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: Explain
     every: usize,
     rounds: usize,
     rec: &R,
-) -> RtkShard<S> {
+) -> Shard<S>
+where
+    G: GridTable,
+    R: Recorder + ?Sized,
+    S: ExplainSink + Default,
+{
     let _scan = span(rec, "scan");
     // If this worker panics anywhere in the scan, poison the sync so
     // barrier peers unwind too instead of hanging (see EpochSync docs).
     let _poison_on_unwind = sync.panic_guard();
-    let every = every.max(1);
-    let mut state = RtkState::<S>::new(gir);
-    let mut saturated = false;
+    let mut buf = ScanBuffers::new(gir);
+    let mut shard = Shard {
+        members: Vec::new(),
+        heap: KBestHeap::new(k),
+        saturated: false,
+        stats: QueryStats::default(),
+        sink: S::default(),
+    };
+    let mut frozen = usize::MAX;
     for round in 0..rounds {
-        if !saturated {
-            let (lo, hi) = epoch_chunk(&range, round, every);
-            saturated = rtk_scan_chunk(gir, q, qa, k, lo..hi, None, &mut state, rec);
-        }
-        if round + 1 < rounds {
-            let (_, any_saturated) = sync.exchange(me, usize::MAX, saturated);
-            if any_saturated {
-                // Uniform early exit: every worker sees the same
-                // snapshot at the same boundary.
-                if !saturated && state.sink.enabled() {
-                    state.sink.bound_event(
-                        BoundSource::EpochExchange,
-                        round as u64,
-                        state.domin.len() as u64,
-                        true,
+        let wids = epoch_chunk(&range, round, every);
+        let (stats, sink) = (&mut shard.stats, &mut shard.sink);
+        let bound = match kind {
+            QueryKind::Rtk => {
+                if !shard.saturated {
+                    shard.saturated = gir.rtk_scan(
+                        q,
+                        qa,
+                        k,
+                        wids,
+                        &mut buf,
+                        &mut shard.members,
+                        stats,
+                        rec,
+                        sink,
                     );
                 }
-                saturated = true;
-                break;
+                usize::MAX
             }
-        }
-    }
-    RtkShard {
-        members: state.members,
-        stats: state.stats,
-        saturated,
-        sink: state.sink,
-    }
-}
-
-/// Per-worker mutable state of an RKR scan.
-struct RkrState<S> {
-    domin: DominBuffer,
-    scratch: Scratch,
-    w_scratch: Vec<u8>,
-    stats: QueryStats,
-    heap: KBestHeap,
-    sink: S,
-}
-
-impl<S: ExplainSink + Default> RkrState<S> {
-    fn new<G: GridTable>(gir: &Gir<'_, G>, k: usize) -> Self {
-        let dim = gir.points_ref().dim();
-        Self {
-            domin: DominBuffer::new(gir.total_points()),
-            scratch: Scratch::new(dim),
-            w_scratch: vec![0u8; dim],
-            stats: QueryStats::default(),
-            heap: KBestHeap::new(k),
-            sink: S::default(),
-        }
-    }
-}
-
-/// Scans `wids` for RKR candidates (Alg. 3 body). `shared` is the live
-/// atomic bound of shared mode; `frozen_bound` is the epoch snapshot
-/// (use `usize::MAX` when absent). Both only ever *tighten* the local
-/// heap threshold, which alone is already sound.
-#[allow(clippy::too_many_arguments)]
-fn rkr_scan_chunk<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    wids: Range<usize>,
-    shared: Option<&AtomicUsize>,
-    frozen_bound: usize,
-    state: &mut RkrState<S>,
-    rec: &R,
-) {
-    for wid in wids {
-        if !gir.admit_weight(wid, &mut state.stats, &mut state.sink) {
-            continue;
-        }
-        state.stats.weights_visited += 1;
-        if state.sink.enabled() {
-            state.sink.weight(wid as u64);
-        }
-        let w = gir.weight_data(wid);
-        let wa = gir.w_approx_row(wid, &mut state.w_scratch);
-        let fq = dot_counted(w, q, &mut state.stats);
-        // The local heap threshold alone is already sound (a shard's
-        // k-best threshold is never below the global k-th rank); the
-        // shared/frozen bound only tightens it further.
-        let mut bound = state.heap.threshold().min(frozen_bound);
-        if let Some(m) = shared {
-            // ORDERING: relaxed — the shared bound only tightens pruning;
-            // a stale value is still a sound (looser) bound.
-            let published = m.load(Ordering::Relaxed);
-            if published < bound {
-                if state.sink.enabled() {
-                    state.sink.bound_event(
-                        BoundSource::SharedAtomic,
-                        wid as u64,
-                        published as u64,
-                        false,
-                    );
-                }
-                bound = published;
-            }
-        }
-        if let Some(ti) = gir.threshold_index() {
-            // Same certification as the sequential scan, against the
-            // exact bound this shard would have scanned with: the heap
-            // never sees the weight either way.
-            if ti.certifies_rank_above(wid, bound, fq) {
-                state.stats.threshold_hits += 1;
-                if state.sink.enabled() {
-                    state.sink.threshold_hit(wid as u64, false);
-                }
-                continue;
-            }
-        }
-        if let Some(rank) = gir.gin_rank(
-            wa,
-            w,
-            qa,
-            fq,
-            bound,
-            &mut state.domin,
-            &mut state.scratch,
-            &mut state.stats,
-            rec,
-            &mut state.sink,
-        ) {
-            timed_leaf(rec, "heap", || state.heap.offer(rank, WeightId(wid)));
-            if state.sink.enabled() {
-                // Local `minRank` tightening (Alg. 3), same event the
-                // sequential engine records.
-                let after = state.heap.threshold();
-                if after < bound {
-                    state
-                        .sink
-                        .bound_event(BoundSource::LocalScan, wid as u64, after as u64, false);
-                }
-            }
-            if let Some(m) = shared {
-                if state.heap.is_full() {
-                    // ORDERING: relaxed — monotone min; any interleaving
-                    // leaves a valid bound.
-                    m.fetch_min(state.heap.threshold(), Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
-/// Scans one contiguous shard of `W` for RKR candidates. `shared` is
-/// the cross-shard `minRank` bound of shared-bound mode; local mode
-/// passes `None`.
-fn rkr_worker<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink + Default>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    range: Range<usize>,
-    shared: Option<&AtomicUsize>,
-    rec: &R,
-) -> (KBestHeap, QueryStats, S) {
-    let _scan = span(rec, "scan");
-    let mut state = RkrState::<S>::new(gir, k);
-    rkr_scan_chunk(gir, q, qa, range, shared, usize::MAX, &mut state, rec);
-    (state.heap, state.stats, state.sink)
-}
-
-/// Epoch-snapshot RKR shard worker: scan `every` weights under the
-/// frozen snapshot of the merged cross-shard bound, publish the local
-/// heap threshold, rendezvous, and adopt the refreshed snapshot. The
-/// merged minimum over all published local thresholds is a sound global
-/// bound (every local threshold is ≥ the global k-th rank), and because
-/// the exchange happens at data-determined boundaries the bound in
-/// effect at every single weight is reproducible.
-#[allow(clippy::too_many_arguments)]
-fn rkr_worker_epoch<G: GridTable + Sync, R: Recorder + Sync + ?Sized, S: ExplainSink + Default>(
-    gir: &Gir<'_, G>,
-    q: &[f64],
-    qa: &[u8],
-    k: usize,
-    range: Range<usize>,
-    me: usize,
-    sync: &EpochSync,
-    every: usize,
-    rounds: usize,
-    rec: &R,
-) -> (KBestHeap, QueryStats, S) {
-    let _scan = span(rec, "scan");
-    // Unwind-to-poison coupling, same as the RTK epoch worker.
-    let _poison_on_unwind = sync.panic_guard();
-    let every = every.max(1);
-    let mut state = RkrState::<S>::new(gir, k);
-    let mut frozen_bound = usize::MAX;
-    for round in 0..rounds {
-        let (lo, hi) = epoch_chunk(&range, round, every);
-        rkr_scan_chunk(gir, q, qa, lo..hi, None, frozen_bound, &mut state, rec);
-        if round + 1 < rounds {
-            let (min_bound, _) = sync.exchange(me, state.heap.threshold(), false);
-            if state.sink.enabled() && min_bound < frozen_bound {
-                // The epoch snapshot tightened: deterministic, recorded
-                // against the round number rather than a single weight.
-                state.sink.bound_event(
-                    BoundSource::EpochExchange,
-                    round as u64,
-                    min_bound as u64,
-                    false,
+            QueryKind::Rkr => {
+                gir.rkr_scan(
+                    q,
+                    qa,
+                    wids,
+                    frozen,
+                    &mut buf,
+                    &mut shard.heap,
+                    stats,
+                    rec,
+                    sink,
                 );
+                shard.heap.threshold()
             }
-            frozen_bound = min_bound;
+        };
+        if round + 1 == rounds {
+            break;
         }
+        let (min_bound, any_saturated) = sync.exchange(me, bound, shard.saturated);
+        // Epoch events are deterministic and recorded against the round
+        // number rather than a single weight.
+        if any_saturated {
+            if !shard.saturated && shard.sink.enabled() {
+                let found = buf.dominators() as u64;
+                shard
+                    .sink
+                    .bound_event(BoundSource::EpochExchange, round as u64, found, true);
+            }
+            shard.saturated = true;
+            break;
+        }
+        if min_bound < frozen && shard.sink.enabled() {
+            shard.sink.bound_event(
+                BoundSource::EpochExchange,
+                round as u64,
+                min_bound as u64,
+                false,
+            );
+        }
+        frozen = min_bound;
     }
-    (state.heap, state.stats, state.sink)
+    shard
 }
 
 impl<G: GridTable + Sync> RtkQuery for ParGir<'_, '_, G> {
@@ -1323,14 +800,13 @@ mod tests {
 
     fn par_modes() -> Vec<ParConfig> {
         vec![
-            ParConfig::with_threads(2),
-            ParConfig::with_threads(4),
+            ParConfig::deterministic(2),
             ParConfig::deterministic(3),
             ParConfig::deterministic(4),
             ParConfig::epoch(3, 1),
             ParConfig::epoch(4, 16),
             ParConfig::epoch(2, usize::MAX), // one round: equals Local
-            ParConfig::with_threads(1),      // sequential delegation
+            ParConfig::deterministic(1),     // sequential delegation
         ]
     }
 
@@ -1423,7 +899,7 @@ mod tests {
         let gir = Gir::with_defaults(&p, &w);
         let q = p.point(PointId(7)).to_vec();
         for threads in [0usize, 1] {
-            let par = gir.parallel(ParConfig::with_threads(threads));
+            let par = gir.parallel(ParConfig::deterministic(threads));
             let mut sp = QueryStats::default();
             let mut ss = QueryStats::default();
             assert_eq!(
@@ -1438,7 +914,7 @@ mod tests {
     fn more_workers_than_weights() {
         let (p, w) = workload(3, 150, 5, 34);
         let gir = Gir::with_defaults(&p, &w);
-        let par = gir.parallel(ParConfig::with_threads(16));
+        let par = gir.parallel(ParConfig::deterministic(16));
         let q = p.point(PointId(75)).to_vec();
         let mut sp = QueryStats::default();
         let mut ss = QueryStats::default();
@@ -1458,11 +934,7 @@ mod tests {
     fn saturated_and_edge_queries_match_sequential() {
         let (p, w) = workload(3, 500, 50, 35);
         let gir = Gir::with_defaults(&p, &w);
-        for par_cfg in [
-            ParConfig::with_threads(4),
-            ParConfig::deterministic(4),
-            ParConfig::epoch(4, 4),
-        ] {
+        for par_cfg in [ParConfig::deterministic(4), ParConfig::epoch(4, 4)] {
             let par = gir.parallel(par_cfg);
             // Dominated query: every shard saturates its Domin buffer.
             let dominated = vec![9_999.0; 3];
@@ -1496,11 +968,9 @@ mod tests {
         let (p, w) = workload(4, 300, 90, 39);
         let gir = Gir::with_defaults(&p, &w);
         let q = p.point(PointId(42)).to_vec();
-        for par_cfg in [
-            ParConfig::with_threads(3),
-            ParConfig::deterministic(3),
-            ParConfig::epoch(3, 8),
-        ] {
+        // An unpooled engine runs each query on a one-query pool; a
+        // persistent pool must reproduce it counter for counter.
+        for par_cfg in [ParConfig::deterministic(3), ParConfig::epoch(3, 8)] {
             pool_scope(3, |pool| {
                 let scoped = gir.parallel(par_cfg);
                 let pooled = gir.parallel(par_cfg).with_pool(pool);
@@ -1512,9 +982,7 @@ mod tests {
                         scoped.reverse_top_k(&q, k, &mut ss),
                         "rtk {par_cfg:?} k={k}"
                     );
-                    if par_cfg.mode != BoundMode::Shared {
-                        assert_eq!(sp, ss, "rtk counters {par_cfg:?} k={k}");
-                    }
+                    assert_eq!(sp, ss, "rtk counters {par_cfg:?} k={k}");
                     let mut sp = QueryStats::default();
                     let mut ss = QueryStats::default();
                     assert_eq!(
@@ -1522,9 +990,7 @@ mod tests {
                         scoped.reverse_k_ranks(&q, k, &mut ss),
                         "rkr {par_cfg:?} k={k}"
                     );
-                    if par_cfg.mode != BoundMode::Shared {
-                        assert_eq!(sp, ss, "rkr counters {par_cfg:?} k={k}");
-                    }
+                    assert_eq!(sp, ss, "rkr counters {par_cfg:?} k={k}");
                 }
             });
         }
@@ -1558,7 +1024,7 @@ mod tests {
         let q = p.point(PointId(3)).to_vec();
         for workers in [0usize, 1] {
             pool_scope(workers, |pool| {
-                let par = gir.parallel(ParConfig::with_threads(4)).with_pool(pool);
+                let par = gir.parallel(ParConfig::deterministic(4)).with_pool(pool);
                 let rec = SharedRecorder::new();
                 let mut sp = QueryStats::default();
                 let mut ss = QueryStats::default();
@@ -1595,7 +1061,7 @@ mod tests {
     fn traced_falls_back_sequentially_for_non_sync_recorder() {
         let (p, w) = workload(4, 250, 60, 37);
         let gir = Gir::with_defaults(&p, &w);
-        let par = gir.parallel(ParConfig::with_threads(4));
+        let par = gir.parallel(ParConfig::deterministic(4));
         let q = p.point(PointId(41)).to_vec();
         let rec = MetricsRecorder::new();
         let mut st = QueryStats::default();

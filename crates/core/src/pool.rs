@@ -1,21 +1,21 @@
-//! Persistent scoped worker pool for the parallel query engine.
+//! Scoped worker pool: the parallel query engine's one thread substrate.
 //!
-//! PR 3's [`ParGir`](crate::ParGir) spawns a fresh `std::thread::scope`
-//! per query, which the performance notes flag as the dominant cost for
-//! small `|W|`. [`pool_scope`] amortises that cost: it spawns `workers`
-//! long-lived threads once, hands the caller a [`WorkerPool`] handle, and
-//! joins everything when the closure returns. Each query submitted
-//! through [`WorkerPool::run`] is a batch of boxed shard jobs fed through
-//! one mpsc channel — no per-query spawn, no per-query join, just a
-//! channel send per shard.
+//! [`pool_scope`] spawns `workers` threads, hands the caller a
+//! [`WorkerPool`] handle, and joins everything when the closure returns.
+//! Each query submitted through [`WorkerPool::run`] is a batch of boxed
+//! shard jobs fed through one mpsc channel. [`ParGir`](crate::ParGir)
+//! builds a one-query pool per query unless the caller attaches a
+//! persistent one, which amortises spawn/join across a query batch (the
+//! dominant cost for small `|W|`): no per-query spawn, no per-query
+//! join, just a channel send per shard.
 //!
 //! The pool is *scoped*, not `'static`: jobs may borrow anything that
 //! outlives the `pool_scope` call (the [`Gir`](crate::Gir) index, the
 //! data sets), which is what lets the engine stay `unsafe`-free. The
 //! price is an invariant lifetime — `WorkerPool<'env>` only accepts jobs
 //! that live for exactly the environment it was created in; per-query
-//! state (the query vector, shared-bound cells) must be owned by the job
-//! (cloned or `Arc`ed).
+//! state (the query vector, epoch-exchange state) must be owned by the
+//! job (cloned or `Arc`ed).
 //!
 //! Guarantees:
 //!

@@ -41,11 +41,10 @@ enum Engine {
     Pool,
 }
 
-const ENGINES: [Engine; 5] = [
+const ENGINES: [Engine; 4] = [
     Engine::Seq,
     Engine::Par(BoundMode::Local),
     Engine::Par(BoundMode::Epoch(16)),
-    Engine::Par(BoundMode::Shared),
     Engine::Pool,
 ];
 

@@ -120,11 +120,10 @@ enum Engine {
     Pooled,
 }
 
-const ENGINES: [Engine; 5] = [
+const ENGINES: [Engine; 4] = [
     Engine::Seq,
     Engine::Par(BoundMode::Local),
     Engine::Par(BoundMode::Epoch(8)),
-    Engine::Par(BoundMode::Shared),
     Engine::Pooled,
 ];
 

@@ -32,7 +32,7 @@ const RENDEZVOUS_FILES: [&str; 2] = ["crates/core/src/pool.rs", "crates/core/src
 const RENDEZVOUS_TYPES: [&str; 3] = ["PoisonBarrier", "EpochSync", "EpochPanicGuard"];
 
 /// Files whose thread creation is sanctioned on the query path.
-const SPAWN_CONFINED: [&str; 2] = ["crates/core/src/par.rs", "crates/core/src/pool.rs"];
+const SPAWN_CONFINED: [&str; 1] = ["crates/core/src/pool.rs"];
 
 /// Runs every workspace (cross-file) graph rule. Returns diagnostics as
 /// `(path, raw diag)` pairs. `check_roots` enables the root-liveness

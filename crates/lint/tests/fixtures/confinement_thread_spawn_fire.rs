@@ -1,5 +1,5 @@
 //! Fixture: thread creation reachable from a query entry point,
-//! outside the sanctioned parallel-engine files.
+//! outside the sanctioned worker-pool file.
 
 impl ParGir {
     pub fn rkr_batch(&self) {

@@ -1,5 +1,5 @@
 // Fixture: linted under the virtual path crates/baselines/src/fixture.rs
-// — ad-hoc threading outside the parallel engine is how scheduling
+// — ad-hoc threading outside the worker pool is how scheduling
 // nondeterminism sneaks back in.
 use std::thread;
 

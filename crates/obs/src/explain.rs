@@ -18,7 +18,7 @@
 //!   decided each class), a filter→refine [`Funnel`] that reconciles
 //!   exactly against the engine's `QueryStats`, and a [`BoundEvent`]
 //!   timeline recording each RKR `minRank` / RTK saturation tightening
-//!   with its source (local scan, shared atomic, epoch exchange).
+//!   with its source (local scan or epoch exchange).
 //! * [`ExplainDoc::diff`] structurally compares two documents and returns
 //!   the first [`Divergence`] — the cell, weight or bound event where two
 //!   runs parted ways.
@@ -84,9 +84,6 @@ pub enum BoundSource {
     /// The worker's own scan tightened its local bound (sequential scans
     /// only ever emit this source).
     LocalScan,
-    /// A peer's published value was observed through the shared atomic
-    /// (`BoundMode::Shared`; inherently scheduling-dependent).
-    SharedAtomic,
     /// A deterministic epoch exchange folded all workers' bounds
     /// (`BoundMode::Epoch`).
     EpochExchange,
@@ -97,7 +94,6 @@ impl BoundSource {
     pub fn as_str(self) -> &'static str {
         match self {
             BoundSource::LocalScan => "local",
-            BoundSource::SharedAtomic => "shared",
             BoundSource::EpochExchange => "epoch",
         }
     }
@@ -106,7 +102,6 @@ impl BoundSource {
     pub fn parse_str(s: &str) -> Result<Self, String> {
         match s {
             "local" => Ok(BoundSource::LocalScan),
-            "shared" => Ok(BoundSource::SharedAtomic),
             "epoch" => Ok(BoundSource::EpochExchange),
             other => Err(format!("unknown bound source {other:?}")),
         }
@@ -1071,10 +1066,9 @@ impl ExplainDoc {
         out.push('\n');
         out.push_str(&self.render_heatmap());
         out.push_str(&format!(
-            "\ntimeline: {} events (local={}, shared={}, epoch={})\n",
+            "\ntimeline: {} events (local={}, epoch={})\n",
             self.timeline.len(),
             self.count_source(BoundSource::LocalScan),
-            self.count_source(BoundSource::SharedAtomic),
             self.count_source(BoundSource::EpochExchange),
         ));
         out.push_str(&format!("results: {}\n", self.results.len()));
@@ -1194,6 +1188,13 @@ mod tests {
         }
         let err = ExplainDoc::from_json(&j).unwrap_err();
         assert!(err.contains("schema 99"), "got {err}");
+        // Every timeline source is deterministic; a document naming any
+        // other ("shared") is rejected.
+        let text = sample_doc().to_pretty();
+        let shared = text.replacen("\"source\": \"epoch\"", "\"source\": \"shared\"", 1);
+        assert_ne!(shared, text, "sample timeline carries an epoch event");
+        let err = ExplainDoc::parse(&shared).unwrap_err();
+        assert!(err.contains("unknown bound source \"shared\""), "got {err}");
     }
 
     #[test]
@@ -1309,7 +1310,7 @@ mod tests {
         s2.weight(1);
         s2.classify(&[1], ExplainClass::Precedes, 0.2, 0.4);
         s2.domin_skip(&[2]);
-        s2.bound_event(BoundSource::SharedAtomic, 1, 2, true);
+        s2.bound_event(BoundSource::EpochExchange, 1, 2, true);
         main.absorb(s1);
         main.absorb(s2);
         assert_eq!(main.funnel.weights, 2);
@@ -1347,7 +1348,7 @@ mod tests {
         assert!(text.contains("funnel"), "{text}");
         assert!(text.contains("case1 (precede)"), "{text}");
         assert!(text.contains("heatmap"), "{text}");
-        assert!(text.contains("timeline: 2 events (local=1, shared=0, epoch=1)"));
+        assert!(text.contains("timeline: 2 events (local=1, epoch=1)"));
         // Empty doc renders without panicking.
         assert!(ExplainDoc::new().render().contains("cells: none scanned"));
     }

@@ -50,7 +50,7 @@ pub trait Recorder {
     /// when the implementation is single-threaded.
     ///
     /// Parallel engines receive `&dyn Recorder` through the `*_traced`
-    /// query traits and cannot move it into a `std::thread::scope`; a
+    /// query traits and cannot hand it to worker threads; a
     /// recorder that *is* thread-safe (the shard-per-thread
     /// [`crate::SharedRecorder`], or the free [`NoopRecorder`]) returns
     /// `Some(self)` here so every worker can record into it directly.

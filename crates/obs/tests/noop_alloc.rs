@@ -3,24 +3,31 @@
 //! flight-recorder hot path (`FlightRecorder::record`) is pinned to the
 //! same standard here; `ring_alloc.rs` re-pins it through the
 //! `alloc-track` feature's own counting allocator.
+//!
+//! The tally is per thread: libtest runs this file's tests concurrently,
+//! and a process-wide count would book a sibling test's allocations
+//! inside the measured window.
 
 use rrq_obs::{span, timed_leaf, FlightRecord, FlightRecorder, NoopRecorder, QueryKind, Recorder};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: a pure pass-through to `System`, which upholds the
-// `GlobalAlloc` contract; the extra work is one atomic increment.
+// `GlobalAlloc` contract; the extra work is one thread-local increment.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: delegates to `System.alloc` with the layout unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // ORDERING: Relaxed — a monotone tally with no other shared
-        // state to order against; the tests read it from the same
-        // thread that allocated.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: during thread teardown the slot may be gone; such
+        // late allocations belong to no measured window.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     // SAFETY: delegates to `System.dealloc` with the caller's pointer
@@ -33,9 +40,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    // ORDERING: Relaxed — same-thread read of the tally above.
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

@@ -30,16 +30,19 @@
 #   cd ../update && rm -f BENCH_*.json \
 #     && ../../../target/release/rrq-exp --smoke --mutate trace=42
 #
-# bench/baselines/par/ holds snapshots taken with the deterministic
-# parallel query engine (--par-query 4). Deterministic mode uses only
-# worker-local pruning bounds, so its counters are exactly reproducible
-# across runs and machines and are gated just as strictly.
+# bench/baselines/par/ holds snapshots taken with the parallel query
+# engine at its default worker-local bounds (--par-query 4), each query
+# running its shards on a one-query worker pool. Its counters are
+# exactly reproducible across runs and machines and are gated just as
+# strictly.
 #
 # bench/baselines/par/epoch/ holds snapshots taken with the persistent
 # worker pool in epoch-snapshot mode (--par-pool --par-epoch 64):
 # workers exchange pruning bounds only at fixed weight offsets, so the
-# counters are again exact — the gate proves the *shared*-bound design
-# stays deterministic, not just the worker-local one.
+# counters are again exact — the gate proves cross-shard bound sharing
+# stays deterministic, not just the worker-local scan. Every parallel
+# mode is deterministic; there is no scheduling-dependent one to
+# exempt.
 #
 # bench/baselines/threshold/ holds snapshots taken with the threshold
 # index attached (--threshold-index). The index's short-circuit decisions
@@ -114,10 +117,10 @@ echo "==> rrq-benchdiff --dir $par_dir <fresh parallel run>"
 }
 
 # Epoch-snapshot pool gate: same discipline for the persistent worker
-# pool with epoch-merged shared bounds (--par-pool --par-epoch 64). The
-# epoch protocol's whole point is that *shared* pruning state stays a
-# pure function of (data, query, shards, epoch); a missing snapshot is a
-# hard error for the same reason as above.
+# pool with epoch-merged cross-shard bounds (--par-pool --par-epoch 64).
+# The epoch protocol's whole point is that cross-shard pruning state
+# stays a pure function of (data, query, shards, epoch); a missing
+# snapshot is a hard error for the same reason as above.
 epoch_dir="$par_dir/epoch"
 if ! ls "$epoch_dir"/BENCH_*.json >/dev/null 2>&1; then
   echo "error: no epoch-mode baselines under $epoch_dir — the pooled" >&2

@@ -15,6 +15,17 @@ set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel 2>/dev/null || dirname "$0")/" 2>/dev/null \
   || cd "$(dirname "$0")/.."
 
+echo "==> crates/core/src size (informational, not a gate)"
+# ROADMAP tracks the engine's non-test line count: the lines before each
+# file's first #[cfg(test)] (every line when a file has none).
+core_lines=0
+for f in crates/core/src/*.rs; do
+  n=$(awk 'index($0, "#[cfg(test)]") { print NR - 1; found = 1; exit }
+           END { if (!found) print NR }' "$f")
+  core_lines=$((core_lines + n))
+done
+echo "    $core_lines non-test lines in crates/core/src"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -75,7 +86,7 @@ echo "    deterministic parallel self-diff clean (exact counters)"
 echo "    sequential vs parallel document structure clean"
 
 echo "==> worker pool + epoch snapshot smoke (--par-pool --par-epoch 64)"
-# Epoch-snapshot mode folds shared bounds at fixed weight offsets, so its
+# Epoch-snapshot mode folds cross-shard bounds at fixed weight offsets, so its
 # pruning counters are a pure function of (data, query, shards, epoch):
 # two same-seed runs on the persistent pool must diff clean at the
 # default EXACT counter threshold — the determinism contract of

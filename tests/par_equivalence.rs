@@ -2,12 +2,11 @@
 //! persistent worker pool.
 //!
 //! The contract under test (DESIGN.md §5b): for every bound-sharing mode,
-//! worker count, epoch size, grid configuration and substrate (scoped
-//! threads vs a long-lived [`WorkerPool`]), the parallel engine returns
-//! results **byte-identical** to the sequential scan — and in the
-//! deterministic modes (`Local`, `Epoch`) the full [`QueryStats`]
-//! counters are an exact function of `(data, query, shards, epoch)` too,
-//! independent of which substrate executed the shards.
+//! worker count, epoch size, grid configuration and pool (a one-query
+//! pool per call vs a long-lived [`WorkerPool`]), the parallel engine
+//! returns results **byte-identical** to the sequential scan — and the
+//! full [`QueryStats`] counters are an exact function of `(data, query,
+//! shards, epoch)` too, independent of which pool executed the shards.
 //!
 //! Workloads are seeded through [`SplitMix64`] so every derived dataset,
 //! query choice and configuration sweep is reproducible from one root
@@ -86,20 +85,15 @@ fn grid_configs() -> Vec<GirConfig> {
 }
 
 /// The bound-sharing modes exercised for a workload with `nw` weights:
-/// nondeterministic shared bounds, per-worker local bounds, and epoch
-/// snapshots at the extremes (every weight, the default 64, one round).
+/// per-worker local bounds and epoch snapshots at the extremes (every
+/// weight, the default 64, one round).
 fn modes(nw: usize) -> Vec<BoundMode> {
     vec![
-        BoundMode::Shared,
         BoundMode::Local,
         BoundMode::Epoch(1),
         BoundMode::Epoch(64),
         BoundMode::Epoch(nw.max(1)),
     ]
-}
-
-fn stats_deterministic(mode: BoundMode) -> bool {
-    mode != BoundMode::Shared
 }
 
 /// Sequential ground truth for one query.
@@ -111,10 +105,9 @@ fn expected(gir: &Gir, q: &[f64], k: usize) -> (RtkResult, QueryStats, RkrResult
     (rtk, rtk_stats, rkr, rkr_stats)
 }
 
-/// The tentpole assertion: every (grid × mode × workers × substrate)
+/// The tentpole assertion: every (grid × mode × workers × pool)
 /// combination returns the sequential answer bit-for-bit, and the
-/// deterministic modes reproduce the *pooled* counters on the scoped
-/// substrate exactly (and vice versa).
+/// persistent pool reproduces the one-query pool's counters exactly.
 #[test]
 fn pool_and_scope_match_sequential_across_the_configuration_grid() {
     for wl in workloads(0xD1FF_E4E2) {
@@ -160,16 +153,14 @@ fn pool_and_scope_match_sequential_across_the_configuration_grid() {
                                 rkr_exp,
                                 "pooled RKR diverged ({par_cfg:?})"
                             );
-                            if stats_deterministic(mode) {
-                                assert_eq!(
-                                    pool_rtk_stats, scoped_rtk_stats,
-                                    "pooled RTK counters must equal scoped ({par_cfg:?})"
-                                );
-                                assert_eq!(
-                                    pool_rkr_stats, scoped_rkr_stats,
-                                    "pooled RKR counters must equal scoped ({par_cfg:?})"
-                                );
-                            }
+                            assert_eq!(
+                                pool_rtk_stats, scoped_rtk_stats,
+                                "pooled RTK counters must equal scoped ({par_cfg:?})"
+                            );
+                            assert_eq!(
+                                pool_rkr_stats, scoped_rkr_stats,
+                                "pooled RKR counters must equal scoped ({par_cfg:?})"
+                            );
                         });
                     }
                 }
@@ -206,7 +197,8 @@ fn epoch_mode_stats_are_a_pure_function_of_the_configuration() {
                     runs[0], runs[1],
                     "epoch mode must be bit-reproducible (workers={workers}, every={every})"
                 );
-                // And the scoped substrate agrees with the pool exactly.
+                // And the unpooled engine's one-query pool agrees with
+                // the persistent pool exactly.
                 let scoped = gir.parallel(par_cfg);
                 let mut rtk_stats = QueryStats::default();
                 let rtk = scoped.reverse_top_k(q, wl.k, &mut rtk_stats);
